@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race bench bench-smoke bench-robust bench-pipeline bench-serve bench-replan bench-fleet bench-durable
+.PHONY: check vet lint build test race stress bench bench-robust bench-pipeline bench-serve bench-replan bench-fleet bench-durable
 
 # check is the tier-1 verification entry point: static analysis, build, the
 # full test suite, and the race detector over the concurrency-sensitive
@@ -31,30 +31,24 @@ test:
 # race covers the packages with shared mutable state on the evaluation fast
 # path (plus the fault/robustness machinery feeding it, the planning service
 # whose worker pool shares warm caches across jobs, the telemetry watcher and
-# event log hammered by concurrent pushes, the delta-compilation state in
-# internal/plan, the sharded simulator dispatch in internal/sim, the durable
-# store written from handlers/workers/monitors at once, and the front router
-# refreshing its backend view under concurrent submissions); running the
-# whole tree under -race multiplies the RL/experiment test time ~10x for no
-# extra coverage, so it is scoped deliberately.
+# event log hammered by concurrent pushes, the durable store written from
+# handlers/workers/monitors at once, and the front router refreshing its
+# backend view under concurrent submissions); running the whole tree under
+# -race multiplies the RL/experiment test time ~10x for no extra coverage, so
+# it is scoped deliberately.
 race:
 	$(GO) test -race ./internal/agent/... ./internal/cluster/... ./internal/evalcache/... ./internal/core/... ./internal/fleet/... ./internal/plan/... ./internal/sim/... ./internal/faults/... ./internal/service/... ./internal/store/... ./internal/router/... ./internal/telemetry/...
 
+# stress repeats the serving packages' tests to catch ordering races that a
+# single run passes by luck (a terminal job state published before its side
+# effects, for one).
+stress:
+	$(GO) test -count=20 ./internal/service/... ./internal/router/... ./internal/store/...
+
 # bench regenerates the evaluation fast-path numbers recorded in
-# BENCH_eval.json. The mutation-episode pair runs separately at a fixed
-# iteration count: each op takes ~1s, so a 2s benchtime stops at b.N=2 and
-# charges the one-off delta-state build to half the samples; 20 iterations
-# measure the steady state the exhibit records.
+# BENCH_eval.json.
 bench:
 	$(GO) test -run '^$$' -bench 'EvaluateCold|EvaluateCached|EvaluateBounded|RunEpisodesSequential|RunEpisodesParallel|RunEpisodes64$$|RunEpisodes64Pruned|SimReuse|SimPooledRun' -benchtime 2s -benchmem .
-	$(GO) test -run '^$$' -bench 'RunEpisodes64Incremental|RunEpisodes64MutationFull' -benchtime 20x -benchmem .
-
-# bench-smoke is the CI gate for the incremental-evaluation exhibit: an
-# in-process run of the same seeded ≤2-edit mutation episodes through the
-# delta path and the full pipeline that hard-fails when the episode-throughput
-# ratio drops below 2x (the recorded exhibit in BENCH_eval.json runs ~4x).
-bench-smoke:
-	BENCH_SMOKE=1 $(GO) test -run TestIncrementalSpeedupGate -count=1 -v .
 
 # bench-robust regenerates the fault/replanning exhibit recorded in
 # BENCH_robust.json (nominal/p95/worst-case per workload + replan gains).

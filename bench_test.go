@@ -499,74 +499,6 @@ func BenchmarkRunEpisodes64Pruned(b *testing.B) {
 	b.ReportMetric(float64(rep.Pruning.CandidatesHalved), "halved")
 }
 
-// benchMutationEpisodes is the shared body for the incremental-vs-full
-// mutation exhibit: an agent in mutation mode proposes ≤2-group edits against
-// a data-parallel incumbent on the 64-device testbed, with pruning armed and
-// the evaluation cache off. With delta true the evaluator routes through
-// EvaluateDelta (patch compilation, zero-diff memo, sharded simulation);
-// with delta false every surviving proposal pays the full compile + simulate
-// price. Same proposal distribution either way — the eps/s ratio is the
-// incremental-evaluation speedup on identical work.
-func benchMutationEpisodes(b *testing.B, delta bool, batch int) {
-	ev := benchEvaluator64(b)
-	ev.Cache = nil // isolate delta wins from memoization wins
-	ev.EnablePruning(nil)
-	if delta {
-		ev.EnableDelta(nil)
-	}
-	acfg := agent.DefaultConfig(64)
-	acfg.Mutate = true
-	a, err := agent.New(acfg, 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inc, err := ev.Evaluate(benchStrategy(b, ev))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := a.SeedIncumbent(ev, inc); err != nil {
-		b.Fatal(err)
-	}
-	bound := inc.Score()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eps, err := a.RunEpisodesBounded(ev, batch, false, bound)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Ratchet the bound like a real mutation search: the incumbent's
-		// score is the pruning bound for the next batch.
-		for _, ep := range eps {
-			if !ep.Eval.Pruned && ep.Eval.Score() < bound {
-				bound = ep.Eval.Score()
-			}
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "episodes/s")
-	rep := ev.PipelineReport()
-	b.ReportMetric(float64(rep.Pruning.DeltaCompiles), "delta-compiles")
-	b.ReportMetric(float64(rep.Pruning.OpsRelowered), "ops-relowered")
-	b.ReportMetric(float64(rep.Pruning.SimsSharded), "sims-sharded")
-	b.ReportMetric(float64(rep.Reused), "reused")
-}
-
-// BenchmarkRunEpisodes64Incremental is the incremental_64dev exhibit: the
-// mutation episode loop through the delta path. Compare
-// BenchmarkRunEpisodes64MutationFull for the same loop paying full price;
-// TestIncrementalSpeedupGate (make bench-smoke) hard-fails CI when the
-// ratio drops below 2x.
-func BenchmarkRunEpisodes64Incremental(b *testing.B) {
-	benchMutationEpisodes(b, true, 64)
-}
-
-// BenchmarkRunEpisodes64MutationFull is the denominator of the
-// incremental_64dev ratio: identical mutation episodes, full pipeline.
-func BenchmarkRunEpisodes64MutationFull(b *testing.B) {
-	benchMutationEpisodes(b, false, 8)
-}
-
 // BenchmarkSimReuse measures a reused Simulator on a precompiled graph —
 // the zero-alloc steady state (compare the seed sim.Run baseline recorded in
 // BENCH_eval.json: 7188 allocs/op).

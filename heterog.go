@@ -17,8 +17,7 @@
 //
 // Configuration is expressed through functional Options (WithEpisodes,
 // WithSeed, WithDefaultOrder, WithAgent, WithBatchEpisodes, WithRobustness,
-// WithFaultSeed). The legacy *Config struct remains accepted — it implements
-// Option itself — but is deprecated in favor of the options.
+// WithFaultSeed).
 //
 // Clusters degrade in production: WithRobustness makes planning score every
 // candidate across K deterministic fault scenarios (stragglers, contended
@@ -95,7 +94,7 @@ type settings struct {
 	// by Runner.Watcher (nil = telemetry package defaults).
 	drift *telemetry.Thresholds
 	// warmStrategy, when non-empty, is a serialized strategy (strategy-JSON
-	// wire format) evaluated before search and seeded as the incumbent.
+	// wire format) evaluated before search and kept if search cannot beat it.
 	warmStrategy []byte
 }
 
@@ -103,7 +102,7 @@ func defaultSettings() settings {
 	return settings{episodes: 6, seed: 1, faultSeed: 1, pruning: true, halving: true}
 }
 
-// Option configures GetRunner. The legacy *Config also satisfies Option.
+// Option configures GetRunner.
 type Option interface{ apply(*settings) }
 
 type optionFunc func(*settings)
@@ -208,11 +207,11 @@ func WithHalving(on bool) Option {
 // WithWarmStrategy warm-starts strategy search from a previously exported
 // plan: raw is a serialized strategy in the strategy-JSON wire format (what
 // Strategy.Save writes and the planning service's reports carry). Before any
-// episodes run, the strategy is decoded against the model graph, evaluated
-// through the runner's caches — priming the evaluation and lowered-artifact
-// caches — and installed as the search incumbent, so bound-based pruning
-// races every candidate against a plausible plan from the first episode and
-// the returned plan is never worse than the seed. A seed that fails to
+// episodes run, the strategy is decoded against the model graph and
+// evaluated through the runner's caches, priming the evaluation and
+// lowered-artifact caches. The search itself starts from the heuristic pool
+// as usual; the seed is kept as the plan only if the search cannot beat it,
+// so the returned plan is never worse than the seed. A seed that fails to
 // decode, evaluate, or fit memory is ignored (warm starting is best-effort);
 // a seed for a different workload typically fails the op-count check and is
 // likewise ignored.
@@ -232,48 +231,6 @@ func WithWarmStrategy(raw []byte) Option {
 // built, not here.
 func WithTelemetryThresholds(th telemetry.Thresholds) Option {
 	return optionFunc(func(s *settings) { s.drift = &th })
-}
-
-// Config is the legacy heterog_config object.
-//
-// Deprecated: pass Options instead — WithEpisodes, WithSeed, WithDefaultOrder
-// and WithAgent cover every Config field one-for-one. A *Config still works as
-// an Option, so existing call sites keep compiling, but the struct is frozen:
-// every knob added since (robustness, batched episodes, contexts, shared
-// caches, pruning, telemetry thresholds) exists only as an Option, and new
-// code should not introduce Config uses.
-type Config struct {
-	// Episodes is the RL budget for strategy search on top of the
-	// heuristic candidate pool (default 6).
-	Episodes int
-	// UseDefaultOrder disables HeteroG's execution-order scheduling and
-	// keeps the engine's FIFO order.
-	UseDefaultOrder bool
-	// Seed drives profiling and the agent (default 1).
-	Seed int64
-	// Agent overrides the strategy-search agent (e.g. one pre-trained on
-	// other graphs); nil builds a fresh one.
-	Agent *agent.Agent
-}
-
-// apply adapts the legacy struct onto the option pipeline; nil receivers
-// (from old `GetRunner(..., nil)` call sites) are no-ops.
-func (c *Config) apply(s *settings) {
-	if c == nil {
-		return
-	}
-	if c.Episodes != 0 {
-		s.episodes = c.Episodes
-	}
-	if c.UseDefaultOrder {
-		s.useDefaultOrder = true
-	}
-	if c.Seed != 0 {
-		s.seed = c.Seed
-	}
-	if c.Agent != nil {
-		s.agent = c.Agent
-	}
 }
 
 // Runner executes a planned distributed training model.
@@ -325,8 +282,8 @@ type RobustReport struct {
 }
 
 // GetRunner plans a distributed deployment for the model over the devices,
-// mirroring the paper's heterog.get_runner. Options (or a legacy *Config)
-// tune the search; see the package documentation for the catalogue.
+// mirroring the paper's heterog.get_runner. Options tune the search; see the
+// package documentation for the catalogue.
 func GetRunner(model ModelFunc, input InputFunc, devices *DeviceInfo, opts ...Option) (*Runner, error) {
 	cfg := defaultSettings()
 	for _, o := range opts {
@@ -419,14 +376,13 @@ func plan(g *graph.Graph, devices *cluster.View, cfg settings) (*Runner, error) 
 		}
 	}
 	// Warm start: evaluate the imported strategy through the (possibly
-	// shared) caches and seed it as the search incumbent. Best-effort — any
+	// shared) caches, priming them for the search. Best-effort — any
 	// failure falls back to a cold search.
 	var warmEval *core.Evaluation
 	if len(cfg.warmStrategy) > 0 {
 		if st, err := strategy.Load(bytes.NewReader(cfg.warmStrategy), len(g.Ops)); err == nil {
 			if e, err := ev.Evaluate(st); err == nil && !e.Result.OOM() {
 				warmEval = e
-				_ = ag.SeedIncumbent(ev, e)
 			}
 		}
 	}

@@ -85,33 +85,30 @@ func TestGetRunnerRejectsInfeasibleModel(t *testing.T) {
 	}
 }
 
-func TestOptionsMatchLegacyConfig(t *testing.T) {
+func TestOptionsApplyInOrder(t *testing.T) {
 	model := ZooModel(models.MobileNetV2, 64)
 	input := func() (int, error) { return 64, nil }
-	legacy, err := GetRunner(model, input, cluster.Testbed4(),
-		&Config{Episodes: 2, Seed: 7, UseDefaultOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modern, err := GetRunner(model, input, cluster.Testbed4(),
+	direct, err := GetRunner(model, input, cluster.Testbed4(),
 		WithEpisodes(2), WithSeed(7), WithDefaultOrder())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Plan.PerIter != modern.Plan.PerIter {
-		t.Fatalf("options and legacy Config must plan identically: %v vs %v",
-			legacy.Plan.PerIter, modern.Plan.PerIter)
+	if c := direct.cfg; c.episodes != 2 || c.seed != 7 || !c.useDefaultOrder || !direct.evaluator.UseFIFO {
+		t.Fatalf("options not applied: episodes=%d seed=%d defaultOrder=%v fifo=%v",
+			c.episodes, c.seed, c.useDefaultOrder, direct.evaluator.UseFIFO)
 	}
-	// Options are applied in order; a later option overrides an earlier
-	// Config, so migration can be incremental.
-	mixed, err := GetRunner(model, input, cluster.Testbed4(),
-		&Config{Episodes: 9, Seed: 7, UseDefaultOrder: true}, WithEpisodes(2))
+	// Options are applied in order; a later option overrides an earlier one.
+	overridden, err := GetRunner(model, input, cluster.Testbed4(),
+		WithEpisodes(9), WithSeed(3), WithDefaultOrder(), WithEpisodes(2), WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mixed.Plan.PerIter != modern.Plan.PerIter {
-		t.Fatalf("mixed Config+Option planning diverged: %v vs %v",
-			mixed.Plan.PerIter, modern.Plan.PerIter)
+	if c := overridden.cfg; c.episodes != 2 || c.seed != 7 {
+		t.Fatalf("last option must win: episodes=%d seed=%d", c.episodes, c.seed)
+	}
+	if overridden.Plan.PerIter != direct.Plan.PerIter {
+		t.Fatalf("overridden options planned differently: %v vs %v",
+			overridden.Plan.PerIter, direct.Plan.PerIter)
 	}
 }
 

@@ -51,21 +51,6 @@ type Config struct {
 	// HalveFraction is the promoted share of each halved batch, in (0, 1];
 	// 0 selects the default of 0.5 (at least one candidate always promotes).
 	HalveFraction float64
-	// Mutate switches episode batches into mutation mode: once an incumbent
-	// strategy is seeded (SeedIncumbent; Plan seeds it from the heuristic
-	// phase), each rollout copies the incumbent's action picks and resamples
-	// at most MutationBudget groups from the policy, and the proposals are
-	// evaluated sequentially through the evaluator's incremental delta path
-	// (core.Evaluator.EvaluateDelta) — a patch of the retained baseline
-	// instead of a from-scratch compile. The incumbent rebases onto every
-	// strict score improvement. Halving is skipped in mutation mode (delta
-	// episodes are already cheap, and the fast pass would recompile).
-	// Off by default; the public planning API arms it with EnableDelta.
-	Mutate bool
-	// MutationBudget caps the groups resampled per mutation episode; each
-	// episode draws 1..MutationBudget uniformly. 0 selects the default of 2,
-	// sized so the expected diff stays within plan.DefaultDeltaMaxOps.
-	MutationBudget int
 }
 
 // DefaultConfig returns a CPU-friendly agent for m devices.
@@ -153,15 +138,9 @@ type graphState struct {
 	neighbors [][]int
 	members   *nn.Matrix
 
-	// Mutation-mode incumbent: the rebase point mutation episodes diff
-	// against. Touched only by the (sequential) learning methods.
-	incStrategy *strategy.Strategy
-	incPicks    []int
-	incScore    float64
-
 	// pickScratch pools the per-episode action buffers for batched decoding.
 	// Rows are overwritten every batch, so nothing that outlives a batch may
-	// alias them (the incumbent rebase copies its picks out).
+	// alias them.
 	pickScratch [][]int
 }
 
@@ -291,81 +270,6 @@ func (a *Agent) decode(probs *nn.Matrix, gr *strategy.Grouping, greedy bool, pic
 		ds[gi] = d
 	}
 	return &strategy.Strategy{Grouping: gr, Decisions: ds}, picks, nil
-}
-
-// mutationBudget returns the configured per-episode resample cap.
-func (a *Agent) mutationBudget() int {
-	if a.cfg.MutationBudget > 0 {
-		return a.cfg.MutationBudget
-	}
-	return 2
-}
-
-// SeedIncumbent installs e as the mutation-mode rebase point for ev: until a
-// mutation episode strictly beats its score, every proposal is a small edit
-// of e.Strategy. The strategy must use the agent's grouping for ev (Plan's
-// heuristic candidates and all decoded strategies do).
-func (a *Agent) SeedIncumbent(ev *core.Evaluator, e *core.Evaluation) error {
-	st, err := a.state(ev)
-	if err != nil {
-		return err
-	}
-	if got, want := len(e.Strategy.Decisions), st.grouping.NumGroups(); got != want {
-		return fmt.Errorf("agent: incumbent has %d decisions, grouping has %d groups", got, want)
-	}
-	picks := make([]int, len(e.Strategy.Decisions))
-	for i, d := range e.Strategy.Decisions {
-		picks[i] = d.ActionIndex(a.m)
-	}
-	st.incStrategy = e.Strategy
-	st.incPicks = picks
-	st.incScore = e.Score()
-	return nil
-}
-
-// decodeMutation proposes one incumbent mutation: the incumbent's picks with
-// 1..budget groups resampled from the policy's rows. Groups are drawn with
-// replacement, so the realized diff can be smaller than the draw count (and
-// a resample can land on the incumbent action — a zero-op proposal the delta
-// path returns immediately).
-func (a *Agent) decodeMutation(probs *nn.Matrix, st *graphState, picks []int) (*strategy.Strategy, []int, error) {
-	n := len(st.incPicks)
-	if len(picks) != n {
-		picks = make([]int, n)
-	}
-	copy(picks, st.incPicks)
-	budget := a.mutationBudget()
-	if budget > n {
-		budget = n
-	}
-	draws := 1
-	if budget > 1 {
-		draws = 1 + a.rng.Intn(budget)
-	}
-	for j := 0; j < draws; j++ {
-		gi := a.rng.Intn(n)
-		row := probs.Row(gi)
-		r := a.rng.Float64()
-		var acc float64
-		action := len(row) - 1
-		for idx, p := range row {
-			acc += p
-			if r <= acc {
-				action = idx
-				break
-			}
-		}
-		picks[gi] = action
-	}
-	ds := make([]strategy.Decision, n)
-	for gi, action := range picks {
-		d, err := strategy.DecisionFromAction(action, a.m)
-		if err != nil {
-			return nil, nil, err
-		}
-		ds[gi] = d
-	}
-	return &strategy.Strategy{Grouping: st.grouping, Decisions: ds}, picks, nil
 }
 
 // RunEpisode samples one strategy for the evaluator's graph, simulates it,
@@ -504,11 +408,6 @@ func (a *Agent) halveKeep(k int) int {
 // the agent's RNG sequentially and the bound is fixed for the whole batch,
 // so results are deterministic for a given seed and bound regardless of
 // evaluation interleaving.
-//
-// With Config.Mutate set and an incumbent seeded (SeedIncumbent), the batch
-// instead proposes small edits of the incumbent and evaluates them
-// sequentially through core.Evaluator.EvaluateDelta; halving is skipped and
-// the returned evaluations carry a nil Dist (see EvaluateDelta).
 func (a *Agent) RunEpisodesBounded(ev *core.Evaluator, k int, learn bool, bound float64) ([]*Episode, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("agent: batch size must be positive, got %d", k)
@@ -522,49 +421,15 @@ func (a *Agent) RunEpisodesBounded(ev *core.Evaluator, k int, learn bool, bound 
 	if err != nil {
 		return nil, err
 	}
-	mutate := a.cfg.Mutate && st.incStrategy != nil
 	strats := make([]*strategy.Strategy, k)
 	picks := st.picksFor(k, probs.Value.Rows)
 	for i := 0; i < k; i++ {
-		if mutate {
-			strats[i], picks[i], err = a.decodeMutation(probs.Value, st, picks[i])
-		} else {
-			strats[i], picks[i], err = a.decode(probs.Value, st.grouping, false, picks[i])
-		}
+		strats[i], picks[i], err = a.decode(probs.Value, st.grouping, false, picks[i])
 		if err != nil {
 			return nil, err
 		}
 	}
 	eps := make([]*Episode, k)
-	if mutate {
-		// Mutation episodes run sequentially through the incremental delta
-		// path: the retained baseline mutates in place, and the incumbent
-		// rebases onto each strict improvement so later proposals in the
-		// batch (already decoded against the old incumbent) still evaluate
-		// but the next batch edits the better strategy.
-		rewards := make([]float64, k)
-		for i := 0; i < k; i++ {
-			e, err := ev.EvaluateDelta(strats[i], bound)
-			if err != nil {
-				return nil, err
-			}
-			if !e.Pruned && e.Score() < st.incScore {
-				st.incStrategy = strats[i]
-				// Copy: picks[i] is batch scratch and will be overwritten.
-				st.incPicks = append(st.incPicks[:0], picks[i]...)
-				st.incScore = e.Score()
-			}
-			eps[i] = &Episode{Strategy: strats[i], Eval: e, Reward: core.Reward(e)}
-			rewards[i] = eps[i].Reward
-		}
-		if !learn {
-			return eps, nil
-		}
-		if err := a.update(t, probs, params, ev.Graph.Name, picks, rewards); err != nil {
-			return nil, err
-		}
-		return eps, nil
-	}
 	full := make([]bool, k)
 	for i := range full {
 		full[i] = true
@@ -758,13 +623,6 @@ func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes in
 		consider(evals[i])
 		consider(fifoEvals[i])
 	}
-	// In mutation mode the heuristic winner seeds the incumbent the episode
-	// batches edit; without one the first batch falls back to full decoding.
-	if a.cfg.Mutate && best != nil {
-		if err := a.SeedIncumbent(ev, best); err != nil {
-			return nil, err
-		}
-	}
 	for done := 0; done < episodes; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -806,16 +664,6 @@ func (a *Agent) PlanContext(ctx context.Context, ev *core.Evaluator, episodes in
 		if e, err := fifoEv.Evaluate(best.Strategy); err == nil {
 			consider(e)
 		}
-	}
-	// Mutation episodes return Dist-less evaluations (the patched graph is
-	// transient); the shipped winner needs the full pipeline. The re-run is
-	// bit-identical to the delta evaluation — see core.Evaluator.EvaluateDelta.
-	if best.Dist == nil {
-		e, err := ev.Evaluate(best.Strategy)
-		if err != nil {
-			return nil, fmt.Errorf("re-evaluate winner: %w", err)
-		}
-		best = e
 	}
 	return best, nil
 }

@@ -144,14 +144,6 @@ type Evaluator struct {
 	// EvaluateBounded calls (see EnablePruning). Plain Evaluate calls are
 	// never pruned.
 	Prune *PruneConfig
-	// Delta, when non-nil, arms incremental evaluation for EvaluateDelta
-	// calls (see EnableDelta). Plain Evaluate calls always take the full
-	// pipeline.
-	Delta *DeltaConfig
-	// dstates holds the retained delta baselines and their zero-diff memos,
-	// one per scenario tag; set by EnableDelta on the nominal evaluator and
-	// shared with no one.
-	dstates map[uint64]*deltaEntry
 	// bounds caches per-decision layouts for the analytic pre-lowering
 	// bound; set by EnablePruning, per twin.
 	bounds *boundState

@@ -27,8 +27,7 @@ type PipelineReport struct {
 	// Lowerings counts full lowering-pipeline executions (compiles).
 	Lowerings int64 `json:"lowerings"`
 	// Reused counts evaluations that skipped lowering by reusing a cached
-	// artifact: the FIFO-vs-ranked and scenario-twin fast paths (only the
-	// Ordering pass re-ran) and zero-diff delta memo hits (nothing re-ran).
+	// artifact — recompiles avoided; only the Ordering pass re-ran.
 	Reused int64 `json:"reused"`
 	// Pruning aggregates the bound-based cold-path pruning counters (zero
 	// unless EnablePruning armed the evaluator family).
@@ -52,17 +51,11 @@ type PruneReport struct {
 	// CandidatesHalved counts episode candidates demoted by the agent's
 	// successive-halving fast pass (never fully evaluated).
 	CandidatesHalved int64 `json:"candidates_halved"`
-	// DeltaCompiles counts evaluations served by the incremental patch path:
-	// the mutated strategy was lowered by rewiring the retained baseline
-	// instead of a from-scratch compile (see Evaluator.EvaluateDelta).
+	// DeltaCompiles and SimsSharded are always 0: the planner has one
+	// evaluation path (full lowering, sequential simulation). They stay in
+	// the report for readers that still decode them.
 	DeltaCompiles int64 `json:"delta_compiles"`
-	// OpsRelowered totals the logical ops (compute ops + aggregation sites)
-	// actually rebuilt across all delta compiles — the work the patch path
-	// did, as opposed to the full compile it avoided.
-	OpsRelowered int64 `json:"ops_relowered"`
-	// SimsSharded counts simulations dispatched through the sharded big-M
-	// simulator instead of the sequential event loop.
-	SimsSharded int64 `json:"sims_sharded"`
+	SimsSharded   int64 `json:"sims_sharded"`
 	// TimeSaved estimates wall-clock evaluation time avoided: for each
 	// pruned candidate, the running mean duration of a full cold evaluation
 	// minus what the pruned attempt actually spent.
@@ -77,9 +70,6 @@ func (p *PruneReport) Add(o PruneReport) {
 	p.PrunedPostLower += o.PrunedPostLower
 	p.SimsAborted += o.SimsAborted
 	p.CandidatesHalved += o.CandidatesHalved
-	p.DeltaCompiles += o.DeltaCompiles
-	p.OpsRelowered += o.OpsRelowered
-	p.SimsSharded += o.SimsSharded
 	p.TimeSaved += o.TimeSaved
 }
 
@@ -195,25 +185,6 @@ func (p *pipeStats) halved(n int) {
 	}
 	p.mu.Lock()
 	p.prune.CandidatesHalved += int64(n)
-	p.mu.Unlock()
-}
-
-func (p *pipeStats) deltaCompile(relowered int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.prune.DeltaCompiles++
-	p.prune.OpsRelowered += int64(relowered)
-	p.mu.Unlock()
-}
-
-func (p *pipeStats) simSharded() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.prune.SimsSharded++
 	p.mu.Unlock()
 }
 

@@ -11,10 +11,10 @@ import (
 // strategy (in the strategy-JSON wire format) plus enough metadata to decide
 // whether it is worth importing. It is the unit of the peer warm-cache
 // exchange — a replica that planned a workload exports its artifact under the
-// workload key; a peer cold on the same key fetches it and seeds its own
-// search with the strategy (heterog.WithWarmStrategy), turning a cold plan
-// into a warm-started one — and of restart warm-starting, where a file-store
-// server re-imports its own artifacts after a crash.
+// workload key; a peer cold on the same key fetches it and plans with the
+// strategy (heterog.WithWarmStrategy), which primes its caches and is kept
+// if its own search cannot beat it — and of restart warm-starting, where a
+// file-store server re-imports its own artifacts after a crash.
 //
 // The full compiled lowered artifact (internal/plan.Artifacts) is deliberately
 // NOT serialized: it is megabytes of IR that any replica can re-derive from

@@ -131,10 +131,6 @@ func (*AggregationLoweringPass) Name() string { return "aggregation-lowering" }
 // Run implements Pass.
 func (p *AggregationLoweringPass) Run(a *Artifacts) error {
 	ctx := &AggContext{a: a, psLoad: make([]float64, a.Cluster.NumDevices())}
-	// PS placement choices are identical across iterations (psLoad resets per
-	// iteration and every input is iteration-independent), so one record per
-	// apply op suffices; later iterations overwrite with equal values.
-	a.psSites = make(map[int]*psSiteRec)
 	before := a.prog.count()
 	for it := 0; it < a.Iterations; it++ {
 		for i := range ctx.psLoad {
@@ -312,8 +308,11 @@ func (ParamServerLowering) Lower(ctx *AggContext, site *AggSite) error {
 	op, gw := site.Apply, site.Grad
 	gwInst := ctx.GradInstances(site)
 	lay, devs, gradBytes := site.Layout, site.Devs, site.GradBytes
-	pushWhole := psPushBytes(a.Ablate, gw, gradBytes)
-	ps := choosePS(ctx, site, devs, pushWhole)
+	pushWhole := gradBytes
+	if !a.Ablate.DensePS && gw.SparseGradBytes > 0 && gw.SparseGradBytes < gradBytes {
+		pushWhole = gw.SparseGradBytes
+	}
+	ps := choosePS(ctx, devs, pushWhole)
 	var aggIns []*compiler.DistOp
 	aggIns = append(aggIns, gwInst[ps])
 	for _, dev := range devs {
@@ -373,88 +372,40 @@ func (ParamServerLowering) Lower(ctx *AggContext, site *AggSite) error {
 	return nil
 }
 
-// psPushBytes is the per-push gradient size: parameter servers can ship the
-// sparse IndexedSlices form when the op provides one (and the DensePS
-// ablation is off); AllReduce always moves the dense tensor.
-func psPushBytes(ab compiler.Ablations, gw *graph.Op, gradBytes int64) int64 {
-	if !ab.DensePS && gw.SparseGradBytes > 0 && gw.SparseGradBytes < gradBytes {
-		return gw.SparseGradBytes
-	}
-	return gradBytes
-}
-
-// psSiteRec records one PS site's load-balancer inputs and outcome from the
-// last lowering: per-candidate costs (a pure function of the replica set and
-// push size, independent of the shared psLoad state) plus the pick actually
-// made. The delta path replays PS placement from these records without
-// re-walking transfer times for unchanged sites.
-type psSiteRec struct {
-	devs        []int
-	pushBytes   int64
-	worst, busy []float64 // per candidate, indexed like devs
-	best        int       // chosen PS device
-	bestBusy    float64   // projected NIC busy-seconds charged to best
-}
-
-// psCosts computes, per candidate PS device, the worst-case push completion
-// time and the projected NIC busy-seconds the site would charge to it. Both
-// depend only on the replica set and push size, never on psLoad.
-func psCosts(cost compiler.Coster, devs []int, gradBytes int64) (worst, busy []float64) {
-	worst = make([]float64, len(devs))
-	busy = make([]float64, len(devs))
-	for i, cand := range devs {
+// choosePS selects the parameter-server device for a gradient: the replica
+// device minimizing aggregation completion time, accounting for gradient
+// traffic already routed to each candidate's NIC (so PS roles for different
+// operations spread over servers) and preferring slower GPUs on ties so the
+// laggard's own gradient needs no transfer (Fig 2(a)).
+func choosePS(ctx *AggContext, devs []int, gradBytes int64) int {
+	c := ctx.a.Cluster
+	cost := ctx.a.Cost
+	best := devs[0]
+	bestCost := -1.0
+	bestBusy := 0.0
+	for _, cand := range devs {
+		worst := 0.0
+		busy := 0.0
 		for _, w := range devs {
 			if w == cand {
 				continue
 			}
 			t := cost.TransferTime(w, cand, gradBytes)
-			if t > worst[i] {
-				worst[i] = t
+			if t > worst {
+				worst = t
 			}
 			// Push in plus pull out; ingress and egress are separate units,
 			// so each side carries about half of the projected occupancy.
-			busy[i] += (t + cost.TransferTime(cand, w, gradBytes)) / 2
+			busy += (t + cost.TransferTime(cand, w, gradBytes)) / 2
 		}
-	}
-	return worst, busy
-}
-
-// choosePSLoaded is the pick given precomputed per-candidate costs and the
-// current projected load: minimize worst push completion plus committed load,
-// ties to the lower-power (slower) GPU so the laggard's own gradient needs no
-// transfer (Fig 2(a)).
-func choosePSLoaded(c *cluster.Cluster, devs []int, worst, busy, psLoad []float64) (int, float64) {
-	best := devs[0]
-	bestCost := -1.0
-	bestBusy := 0.0
-	for i, cand := range devs {
-		candCost := worst[i] + psLoad[cand]
+		candCost := worst + ctx.psLoad[cand]
 		power := c.Devices[cand].Model.Power
 		if bestCost < 0 || candCost < bestCost-1e-12 ||
 			(candCost < bestCost+1e-12 && power < c.Devices[best].Model.Power) {
-			best, bestCost, bestBusy = cand, candCost, busy[i]
+			best, bestCost, bestBusy = cand, candCost, busy
 		}
 	}
-	return best, bestBusy
-}
-
-// choosePS selects the parameter-server device for a gradient: the replica
-// device minimizing aggregation completion time, accounting for gradient
-// traffic already routed to each candidate's NIC (so PS roles for different
-// operations spread over servers) and preferring slower GPUs on ties so the
-// laggard's own gradient needs no transfer (Fig 2(a)). The site's costs and
-// pick are recorded for delta replay.
-func choosePS(ctx *AggContext, site *AggSite, devs []int, gradBytes int64) int {
-	worst, busy := psCosts(ctx.a.Cost, devs, gradBytes)
-	best, bestBusy := choosePSLoaded(ctx.a.Cluster, devs, worst, busy, ctx.psLoad)
 	ctx.psLoad[best] += bestBusy
-	if ctx.a.psSites != nil {
-		ctx.a.psSites[site.Apply.ID] = &psSiteRec{
-			devs: devs, pushBytes: gradBytes,
-			worst: worst, busy: busy,
-			best: best, bestBusy: bestBusy,
-		}
-	}
 	return best
 }
 

@@ -133,7 +133,6 @@ type Artifacts struct {
 	instances    []map[int]map[int]*compiler.DistOp // [iter][opID][device]
 	ready        []map[int]map[int]*compiler.DistOp // [iter][fwdOpID][device]
 	deferredCtrl []ctrlEdge
-	psSites      map[int]*psSiteRec // applyOpID -> PS load-balancer record
 
 	// MemoryPlanning product.
 	PersistentBytes []int64

@@ -268,6 +268,50 @@ func TestPeerWarmExchange(t *testing.T) {
 	}
 }
 
+// slowArtifacts delays every artifact write, holding open the window between
+// a job's plan finishing and its artifact landing in the store.
+type slowArtifacts struct {
+	store.Store
+	delay time.Duration
+}
+
+func (s slowArtifacts) PutArtifact(key string, blob []byte) error {
+	time.Sleep(s.delay)
+	return s.Store.PutArtifact(key, blob)
+}
+
+// TestDoneImpliesArtifactExported: once Wait reports a job done, its
+// artifact is already in the store and advertised on /v1/peer/cache, which is
+// what the router's affinity scoring reads.
+func TestDoneImpliesArtifactExported(t *testing.T) {
+	ctx := context.Background()
+	srv, c := newTestServer(t, Config{
+		Workers: 1, Store: slowArtifacts{store.NewMem(), 200 * time.Millisecond},
+	})
+	st, err := c.Submit(ctx, quickSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, 30*time.Second); err != nil || fin.State != JobDone {
+		t.Fatalf("job: %+v, %v", fin, err)
+	}
+	if got := srv.Stats().Peer.Exported; got != 1 {
+		t.Fatalf("exported %d artifacts when the job reported done, want 1", got)
+	}
+	resp, err := http.Get(c.BaseURL + "/v1/peer/cache")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var idx PeerCacheIndex
+	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
+		t.Fatal(err)
+	}
+	if len(idx.Entries) != 1 {
+		t.Fatalf("peer cache lists %d workloads when the job reported done, want 1", len(idx.Entries))
+	}
+}
+
 // TestSSEStreaming covers the streaming events endpoint at both levels: the
 // raw SSE wire format and the client's StreamEvents helper following a live
 // fleet job across frames.

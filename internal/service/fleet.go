@@ -263,12 +263,22 @@ func (s *Server) enqueueFleet(j *job) {
 	j.state = JobFailed
 	j.err = ErrQueueFull.Error()
 	j.failure = ErrQueueFull
+	s.mu.Unlock()
+	s.finishUnrun(j)
+}
+
+// finishUnrun completes a job that never ran and was just given a terminal
+// state under s.mu: the state keeps late grants, workers and Cancel off it
+// while its lease or waiting slot goes back to the fleet, and only then is
+// the job stamped, persisted and its waiters woken. Callers do not hold s.mu.
+func (s *Server) finishUnrun(j *job) {
+	s.fleetRelease(j, j.state)
+	s.mu.Lock()
 	j.finished = s.now()
 	j.started = j.finished
-	close(j.done)
 	s.persistJobLocked(j)
+	close(j.done)
 	s.mu.Unlock()
-	s.fleetRelease(j)
 }
 
 // fleetPin freezes the job's lease for the duration of planning and adopts
@@ -296,7 +306,7 @@ func (s *Server) fleetPin(j *job) {
 // allocator and applies the rebalance that falls out: waiting jobs admit
 // first, then incumbents grow. Safe to call for jobs that never held a lease
 // and idempotent across repeated terminal paths.
-func (s *Server) fleetRelease(j *job) {
+func (s *Server) fleetRelease(j *job, state JobState) {
 	if s.fleetAlloc == nil {
 		return
 	}
@@ -304,7 +314,7 @@ func (s *Server) fleetRelease(j *job) {
 	released := j.lease
 	j.lease = nil // j.cluster stays: reports still describe the planned view
 	if released != nil {
-		s.fleetEventLocked(j, EventLeaseReleased, string(j.state))
+		s.fleetEventLocked(j, EventLeaseReleased, string(state))
 		s.persistLease(store.LeaseRecord{
 			Job:      j.id,
 			Lease:    released.ID,

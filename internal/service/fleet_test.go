@@ -68,6 +68,9 @@ func TestFleetE2E(t *testing.T) {
 	if final.Devices != 2 {
 		t.Fatalf("lease devices = %d, want 2 (comm-heavy estimator pins one server)", final.Devices)
 	}
+	if final.Lease != "" {
+		t.Fatalf("job reported done while holding lease %s", final.Lease)
+	}
 
 	rep, err := c.Report(ctx, st.ID)
 	if err != nil {

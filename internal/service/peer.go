@@ -11,9 +11,10 @@ package service
 // its own artifact store first (which warm-starts restarts for free: the file
 // store still holds yesterday's artifacts), then asks each configured peer.
 // A fetched artifact is validated (op count must match the job's graph),
-// adopted into the local store, and fed to the planner as a search seed
-// (heterog.WithWarmStrategy): the import is never worse than planning cold,
-// because the seed only wins if the search cannot beat it.
+// adopted into the local store, and handed to the planner
+// (heterog.WithWarmStrategy), which evaluates it first to prime the caches:
+// the import is never worse than planning cold, because it is kept only if
+// the search cannot beat it.
 //
 // The exchange ships strategies, not compiled artifacts: a strategy is a few
 // KB of JSON and recompiles into a full lowered artifact in one pass on the

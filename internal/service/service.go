@@ -544,34 +544,33 @@ func (s *Server) run(j *job) {
 		return s.plan(ctx, j)
 	}()
 
-	s.mu.Lock()
-	j.finished = s.now()
+	state, msg, failure := JobDone, "", error(nil)
 	switch {
 	case err == nil:
-		j.state = JobDone
 	case errors.Is(err, context.Canceled):
-		j.state = JobCanceled
-		j.err = "canceled by client"
+		state, msg = JobCanceled, "canceled by client"
 	case errors.Is(err, context.DeadlineExceeded):
-		j.state = JobFailed
-		j.err = fmt.Sprintf("timed out after %s", s.cfg.JobTimeout)
-		j.failure = err
+		state, msg, failure = JobFailed, fmt.Sprintf("timed out after %s", s.cfg.JobTimeout), err
 	default:
-		j.state = JobFailed
-		j.err = err.Error()
-		j.failure = err
+		state, msg, failure = JobFailed, err.Error(), err
 	}
-	close(j.done)
-	s.persistJobLocked(j)
-	s.mu.Unlock()
-	// Terminal either way: hand the lease back and let the fleet rebalance
-	// (applyGrants inside takes s.mu per grant, so the lock is dropped first).
-	s.fleetRelease(j)
-	if err == nil {
+	// Side effects before the terminal state is published: whoever sees the
+	// job terminal (Wait, a status poll, the router's cache index) must find
+	// its lease released and, on success, its artifact exported. The lease
+	// goes back first so the fleet can rebalance (applyGrants takes s.mu per
+	// grant, so the lock is not held here).
+	s.fleetRelease(j, state)
+	if state == JobDone {
 		// Export the winning strategy as a warm artifact so peers (and this
 		// server's own next incarnation) can warm-start the workload.
 		s.exportArtifact(j)
 	}
+	s.mu.Lock()
+	j.state, j.err, j.failure = state, msg, failure
+	j.finished = s.now()
+	s.persistJobLocked(j)
+	close(j.done)
+	s.mu.Unlock()
 }
 
 // planOptions maps the spec's knobs onto the public Options.
@@ -610,6 +609,7 @@ func planOptions(spec *cli.Spec) []heterog.Option {
 func (s *Server) plan(ctx context.Context, j *job) error {
 	s.mu.Lock()
 	ws := s.warmSetFor(j.warmKey)
+	cold := ws.jobs <= 1 // read under s.mu: other workers bump it
 	s.mu.Unlock()
 
 	opts := append(planOptions(&j.spec), heterog.WithContext(ctx), heterog.WithCaches(ws.caches))
@@ -626,9 +626,10 @@ func (s *Server) plan(ctx context.Context, j *job) error {
 		}
 		runner, err = src.runner.ReplanView(j.cluster, opts...)
 	} else {
-		// Cold workload on this replica: seed the search with an exported
-		// artifact — our own store first (restart warm-start), then peers.
-		if ws.jobs <= 1 {
+		// Cold workload on this replica: import an exported artifact — our
+		// own store first (restart warm-start), then peers. It primes the
+		// caches and is kept only if the search cannot beat it.
+		if cold {
 			if raw := s.warmStrategyFor(j); len(raw) > 0 {
 				opts = append(opts, heterog.WithWarmStrategy(raw))
 			}
@@ -827,7 +828,6 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	var release bool
 	switch j.state {
 	case JobWaiting, JobQueued:
 		// The worker that eventually pops this job (if it was ever enqueued)
@@ -836,11 +836,9 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 		// release through run()'s terminal path once the cancel lands.
 		j.state = JobCanceled
 		j.err = "canceled by client"
-		j.finished = s.now()
-		j.started = j.finished
-		close(j.done)
-		s.persistJobLocked(j)
-		release = true
+		s.mu.Unlock()
+		s.finishUnrun(j)
+		s.mu.Lock()
 	case JobRunning:
 		if j.cancel != nil {
 			j.cancel()
@@ -848,9 +846,6 @@ func (s *Server) Cancel(id string) (*JobStatus, error) {
 	}
 	st := s.statusLocked(j)
 	s.mu.Unlock()
-	if release {
-		s.fleetRelease(j)
-	}
 	return st, nil
 }
 

@@ -451,18 +451,8 @@ func (s *Simulator) RunBounded(dg *compiler.DistGraph, priorities []float64, bou
 		s.dispatchAll(now)
 	}
 	if s.done != n {
-		return nil, deadlockErr(s.done, n)
+		return nil, fmt.Errorf("deadlock: executed %d of %d ops (cyclic or unreachable deps)", s.done, n)
 	}
-	return s.finish(dg, now), nil
-}
-
-func deadlockErr(done, n int) error {
-	return fmt.Errorf("deadlock: executed %d of %d ops (cyclic or unreachable deps)", done, n)
-}
-
-// finish seals the result after the event loop drains: makespan, busiest
-// compute/comm units and OOM flags.
-func (s *Simulator) finish(dg *compiler.DistGraph, now float64) *Result {
 	res := &s.res
 	res.Makespan = now
 	for u := range s.queues {
@@ -480,7 +470,7 @@ func (s *Simulator) finish(dg *compiler.DistGraph, now float64) *Result {
 			res.OOMDevices = append(res.OOMDevices, d)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // simPool recycles simulators across package-level Run calls, including
