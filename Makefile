@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint build test race stress bench bench-robust bench-pipeline bench-serve bench-replan bench-fleet bench-durable
+.PHONY: check vet lint build test race stress bench bench-robust bench-pipeline
 
 # check is the tier-1 verification entry point: static analysis, build, the
 # full test suite, and the race detector over the concurrency-sensitive
@@ -25,6 +25,9 @@ lint:
 build:
 	$(GO) build ./...
 
+# test includes the serving gates: drift replans beat the stale plan
+# (internal/service), and kill-and-restart recovery, 3-replica throughput and
+# the fleet-lease speedup (cmd/heterog-serve, about 70 s of the run).
 test:
 	$(GO) test ./...
 
@@ -60,35 +63,3 @@ bench-robust:
 # the lowered-artifact cache).
 bench-pipeline:
 	$(GO) run ./cmd/heterog-bench -exp pipeline -out BENCH_pipeline.json
-
-# bench-serve regenerates the planning-service exhibit recorded in
-# BENCH_serve.json: an in-process server driven at several client
-# concurrency levels, reporting throughput, p50/p99 latency and the shared
-# warm-cache hit rates.
-bench-serve:
-	$(GO) run ./cmd/heterog-serve -loadgen -queue 16 -out BENCH_serve.json
-
-# bench-replan regenerates the online-replanning exhibit recorded in
-# BENCH_replan.json: an in-process server ingests a seeded drift trace at
-# POST /v1/jobs/{id}/telemetry, fires automatic warm-agent replans on every
-# detected episode, and records the full plan-update event log plus the
-# warm-set counters proving replans reattach to shared caches.
-bench-replan:
-	$(GO) run ./cmd/heterog-serve -driftbench -out BENCH_replan.json
-
-# bench-fleet regenerates the fleet-scheduling exhibit recorded in
-# BENCH_fleet.json: four concurrent jobs leased slices of one Testbed64 by
-# the fleet allocator vs the same jobs run one at a time on the whole fleet.
-# Exits non-zero when the aggregate speedup drops below the threshold.
-bench-fleet:
-	$(GO) run ./cmd/heterog-serve -fleetbench -out BENCH_fleet.json
-
-# bench-durable regenerates the durable-serving exhibit recorded in
-# BENCH_durable.json: a real heterog-serve subprocess on a file store is
-# SIGKILLed mid-batch and must recover every accepted job with gap-free event
-# logs after restart, then 3 replicas behind the affinity router are measured
-# against a single replica on a warm-capacity-bound workload mix. Exits
-# non-zero on any lost job, any event-log gap, or aggregate throughput below
-# 1.5x one replica.
-bench-durable:
-	$(GO) run ./cmd/heterog-serve -durablebench -out BENCH_durable.json

@@ -7,6 +7,11 @@
 //	heterog-route -listen :7080 \
 //	  -backends http://replica-a:7070,http://replica-b:7070,http://replica-c:7070
 //
+// Each replica must run with its own -node name: the router finds a job's
+// replica from the "<node>-job-" prefix of its ID and keeps no per-job state,
+// so a restarted router still reaches every job. A replica that reports no
+// name, or a name another replica also reports, is never ready.
+//
 // GET /v1/router exposes the router's current view of the fleet; /v1/readyz
 // answers 503 only when no backend is ready.
 package main

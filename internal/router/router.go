@@ -1,8 +1,8 @@
 // Package router is the thin front tier for a fleet of planning-service
 // replicas (cmd/heterog-route). It owns no planning state: it scores replicas
 // by queue depth and warm-cache affinity, forwards each submission to the best
-// one, remembers which replica owns which job, and reverse-proxies everything
-// else under /v1/ to the owner.
+// one, and reverse-proxies every per-job request under /v1/jobs/ to the
+// replica that owns the job.
 //
 // Placement is the whole point: on a fleet whose replicas each hold a bounded
 // number of warm cache sets, sending a repeat workload to the replica that
@@ -18,10 +18,11 @@
 // tie-breaker that spreads first-time workloads evenly). Backend views
 // (readiness, stats, peer index) refresh on a short TTL.
 //
-// Job routing uses the replica ID prefix when present ("<node>-job-000042"
-// → the backend whose stats report Node == "<node>"), the learned owner map
-// otherwise, and a broadcast probe as the last resort — so the router can
-// restart (or jobs can predate it) without orphaning anyone.
+// A job's owner is read from its ID alone: "<node>-job-000042" belongs to the
+// backend whose /v1/stats reports Node == "<node>". Every replica behind a
+// router therefore needs a distinct -node name; a backend that reports an
+// empty or duplicate Node is never ready. The router keeps no per-job state,
+// so it can restart (or jobs can predate it) without orphaning anyone.
 package router
 
 import (
@@ -58,9 +59,11 @@ type backend struct {
 	base  string
 	proxy *httputil.ReverseProxy
 
-	// Cached view, guarded by the router mutex.
+	// Cached view, guarded by the router mutex. node survives a failed
+	// refresh, so a replica that is briefly down keeps its jobs' routes.
 	node      string
-	ready     bool
+	up        bool // readyz and stats both answered on the last refresh
+	ready     bool // up, with a node name no other backend reports
 	load      int
 	artifacts map[string]bool // workload key -> resident in memory
 	refreshed time.Time
@@ -72,23 +75,13 @@ type backend struct {
 	assigned int
 }
 
-// maxOwners bounds the learned job->backend map. Replicas evict terminal
-// jobs themselves (MaxJobs retention), so an entry older than the newest
-// maxOwners routings is almost certainly dead; dropping it costs at worst an
-// ID-prefix match or one broadcast probe on the next request for that job.
-const maxOwners = 4096
-
 // Router scores and proxies. Serve its Handler.
 type Router struct {
 	cfg      Config
 	client   *http.Client
 	mu       sync.Mutex
 	backends []*backend
-	owners   map[string]string // job ID -> backend base URL
-	// ownerOrder remembers insertion order so owners stays bounded at
-	// maxOwners (FIFO eviction).
-	ownerOrder []string
-	routed     uint64
+	routed   uint64
 }
 
 // New builds a router over the given replica set.
@@ -103,7 +96,7 @@ func New(cfg Config) (*Router, error) {
 	if client == nil {
 		client = &http.Client{Timeout: 10 * time.Second}
 	}
-	rt := &Router{cfg: cfg, client: client, owners: make(map[string]string)}
+	rt := &Router{cfg: cfg, client: client}
 	for _, base := range cfg.Backends {
 		base = strings.TrimRight(base, "/")
 		u, err := url.Parse(base)
@@ -143,8 +136,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeError answers in the replicas' error envelope. A missing job carries
+// their not_found code, so clients see the same error through the router as
+// direct; every other router failure uses the code "router".
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]map[string]string{"error": {"code": "router", "message": msg}})
+	code := "router"
+	if status == http.StatusNotFound {
+		code = service.CodeNotFound
+	}
+	writeJSON(w, status, map[string]map[string]string{"error": {"code": code, "message": msg}})
 }
 
 // refreshLocked re-reads stale backend views. Callers hold rt.mu; the HTTP
@@ -166,10 +166,10 @@ func (rt *Router) refreshLocked() {
 	}
 	rt.mu.Unlock()
 	type view struct {
-		ready bool
-		node  string
-		load  int
-		arts  map[string]bool
+		up, stats bool
+		node      string
+		load      int
+		arts      map[string]bool
 	}
 	views := make([]view, len(stale))
 	var wg sync.WaitGroup
@@ -182,13 +182,12 @@ func (rt *Router) refreshLocked() {
 			cl.HTTPClient = rt.client
 			ctx, cancel := context.WithTimeout(context.Background(), rt.client.Timeout)
 			defer cancel()
-			v.ready = cl.Readyz(ctx) == nil
 			if st, err := cl.Stats(ctx); err == nil {
+				v.stats = true
 				v.node = st.Node
 				v.load = st.Waiting + st.Queued + st.Running
-			} else {
-				v.ready = false
 			}
+			v.up = v.stats && cl.Readyz(ctx) == nil
 			var idx service.PeerCacheIndex
 			if err := rt.getJSON(ctx, b.base+"/v1/peer/cache", &idx); err == nil {
 				for _, e := range idx.Entries {
@@ -201,8 +200,10 @@ func (rt *Router) refreshLocked() {
 	wg.Wait()
 	rt.mu.Lock()
 	for i, b := range stale {
-		b.ready = views[i].ready
-		b.node = views[i].node
+		b.up = views[i].up
+		if views[i].stats {
+			b.node = views[i].node
+		}
 		b.load = views[i].load
 		b.artifacts = views[i].arts
 		// A submit during the unlocked window may have zeroed refreshed (and
@@ -211,6 +212,13 @@ func (rt *Router) refreshLocked() {
 		if b.gen == gens[i] {
 			b.refreshed = time.Now()
 		}
+	}
+	nodes := make(map[string]int, len(rt.backends))
+	for _, b := range rt.backends {
+		nodes[b.node]++
+	}
+	for _, b := range rt.backends {
+		b.ready = b.up && b.node != "" && nodes[b.node] == 1
 	}
 }
 
@@ -303,7 +311,6 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		var st service.JobStatus
 		if json.Unmarshal(respBody, &st) == nil && st.ID != "" {
 			rt.mu.Lock()
-			rt.rememberOwnerLocked(st.ID, b.base)
 			rt.routed++
 			// The backend just got a job; make the next pick see it without
 			// waiting out the TTL.
@@ -321,58 +328,42 @@ func (rt *Router) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(respBody)
 }
 
-// rememberOwnerLocked records which backend owns a job, evicting the oldest
-// entry once the map holds maxOwners. Callers hold rt.mu.
-func (rt *Router) rememberOwnerLocked(id, base string) {
-	if _, ok := rt.owners[id]; !ok {
-		rt.ownerOrder = append(rt.ownerOrder, id)
-		for len(rt.ownerOrder) > maxOwners {
-			delete(rt.owners, rt.ownerOrder[0])
-			rt.ownerOrder = rt.ownerOrder[1:]
-		}
+// ownerOf resolves the backend named by a job ID's node prefix. A miss
+// refreshes stale backend views first, so a router that has just started
+// still finds jobs it never placed.
+func (rt *Router) ownerOf(id string) *backend {
+	i := strings.LastIndex(id, "-job-")
+	if i <= 0 {
+		return nil
 	}
-	rt.owners[id] = base
+	node := id[:i]
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if b := rt.nodeLocked(node); b != nil {
+		return b
+	}
+	rt.refreshLocked()
+	return rt.nodeLocked(node)
 }
 
-// ownerOf resolves which backend holds a job: the learned owner map, then the
-// node prefix on the job ID, then a broadcast status probe.
-func (rt *Router) ownerOf(ctx context.Context, id string) *backend {
-	rt.mu.Lock()
-	if base, ok := rt.owners[id]; ok {
-		for _, b := range rt.backends {
-			if b.base == base {
-				rt.mu.Unlock()
-				return b
+// nodeLocked returns the one backend named node, or nil when none or several
+// are. Callers hold rt.mu.
+func (rt *Router) nodeLocked(node string) *backend {
+	var found *backend
+	for _, b := range rt.backends {
+		if b.node == node {
+			if found != nil {
+				return nil
 			}
+			found = b
 		}
 	}
-	if i := strings.LastIndex(id, "-job-"); i > 0 {
-		node := id[:i]
-		for _, b := range rt.backends {
-			if b.node == node {
-				rt.mu.Unlock()
-				return b
-			}
-		}
-	}
-	backends := append([]*backend(nil), rt.backends...)
-	rt.mu.Unlock()
-	for _, b := range backends {
-		cl := service.NewClient(b.base)
-		cl.HTTPClient = rt.client
-		if _, err := cl.Status(ctx, id); err == nil {
-			rt.mu.Lock()
-			rt.rememberOwnerLocked(id, b.base)
-			rt.mu.Unlock()
-			return b
-		}
-	}
-	return nil
+	return found
 }
 
 func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	b := rt.ownerOf(r.Context(), id)
+	b := rt.ownerOf(id)
 	if b == nil {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("no backend owns job %s", id))
 		return
@@ -433,8 +424,6 @@ type Status struct {
 	Backends []BackendStatus `json:"backends"`
 	// Routed counts submissions this router placed.
 	Routed uint64 `json:"routed"`
-	// Owned counts jobs in the owner map.
-	Owned int `json:"owned"`
 }
 
 // BackendStatus is one replica's cached view.
@@ -450,7 +439,7 @@ type BackendStatus struct {
 func (rt *Router) handleRouter(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	rt.refreshLocked()
-	st := Status{Routed: rt.routed, Owned: len(rt.owners)}
+	st := Status{Routed: rt.routed}
 	for _, b := range rt.backends {
 		st.Backends = append(st.Backends, BackendStatus{
 			Base: b.base, Node: b.node, Ready: b.ready,

@@ -3,6 +3,7 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,31 +14,58 @@ import (
 	"heterog/internal/service"
 )
 
-// fleet spins up n in-process replicas plus a router in front of them.
-func fleet(t *testing.T, n int) (*service.Client, []*service.Server) {
+// replicas starts one in-process replica per node name ("" leaves NodeID
+// unset) and returns their base URLs.
+func replicas(t *testing.T, nodes ...string) []string {
 	t.Helper()
-	backends := make([]string, n)
-	servers := make([]*service.Server, n)
-	for i := 0; i < n; i++ {
-		srv, err := service.Open(service.Config{
-			Workers: 1, MaxWarmSets: 1,
-			NodeID: string(rune('a' + i)),
-		})
+	urls := make([]string, len(nodes))
+	for i, node := range nodes {
+		srv, err := service.Open(service.Config{Workers: 1, MaxWarmSets: 1, NodeID: node})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); _ = srv.Close() })
-		backends[i] = ts.URL
-		servers[i] = srv
+		urls[i] = ts.URL
 	}
-	rt, err := New(Config{Backends: backends, RefreshTTL: 20 * time.Millisecond})
+	return urls
+}
+
+// front starts a router over the backends and returns a client for it.
+func front(t *testing.T, backends []string, ttl time.Duration) *service.Client {
+	t.Helper()
+	rt, err := New(Config{Backends: backends, RefreshTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(rt.Handler())
-	t.Cleanup(front.Close)
-	return service.NewClient(front.URL), servers
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return service.NewClient(ts.URL)
+}
+
+// fleet spins up n named in-process replicas plus a router in front of them.
+func fleet(t *testing.T, n int) *service.Client {
+	t.Helper()
+	nodes := make([]string, n)
+	for i := range nodes {
+		nodes[i] = string(rune('a' + i))
+	}
+	return front(t, replicas(t, nodes...), 20*time.Millisecond)
+}
+
+// routerStatus reads the router's own view from GET /v1/router.
+func routerStatus(t *testing.T, c *service.Client) Status {
+	t.Helper()
+	resp, err := http.Get(c.BaseURL + "/v1/router")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var status Status
+	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
+		t.Fatal(err)
+	}
+	return status
 }
 
 func spec(batch int) cli.Spec {
@@ -59,7 +87,7 @@ func nodeOf(t *testing.T, id string) string {
 // them, and per-job requests proxy to the owner.
 func TestRouterAffinityAndProxy(t *testing.T) {
 	ctx := context.Background()
-	c, _ := fleet(t, 2)
+	c := fleet(t, 2)
 
 	run := func(batch int) *service.JobStatus {
 		t.Helper()
@@ -113,16 +141,7 @@ func TestRouterAffinityAndProxy(t *testing.T) {
 	}
 
 	// The router's own introspection endpoint.
-	resp, err := http.Get(c.BaseURL + "/v1/router")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var status Status
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	if status.Routed != 6 || len(status.Backends) != 2 {
+	if status := routerStatus(t, c); status.Routed != 6 || len(status.Backends) != 2 {
 		t.Fatalf("router status = %+v, want 6 routed over 2 backends", status)
 	}
 }
@@ -140,8 +159,86 @@ func TestRouterReadyz(t *testing.T) {
 		t.Fatal("router ready with no reachable backend")
 	}
 
-	c, _ := fleet(t, 1)
+	c := fleet(t, 1)
 	if err := c.Readyz(ctx); err != nil {
 		t.Fatalf("router with one live backend not ready: %v", err)
+	}
+}
+
+// TestRouterFindsJobsItNeverPlaced: a router that has just started, with no
+// submissions and a view TTL far longer than the test, must still proxy
+// status and report for a job created directly on a replica, resolving the
+// owner from the job ID's node prefix.
+func TestRouterFindsJobsItNeverPlaced(t *testing.T) {
+	ctx := context.Background()
+	urls := replicas(t, "a", "b")
+	direct := service.NewClient(urls[1])
+	st, err := direct.Submit(ctx, spec(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fin, err := direct.Wait(ctx, st.ID, 30*time.Second); err != nil || fin.State != service.JobDone {
+		t.Fatalf("direct job = %+v, %v", fin, err)
+	}
+
+	c := front(t, urls, time.Hour)
+	got, err := c.Status(ctx, st.ID)
+	if err != nil || got.ID != st.ID || got.State != service.JobDone {
+		t.Fatalf("status %s via fresh router: %+v, %v", st.ID, got, err)
+	}
+	if _, err := c.Report(ctx, st.ID); err != nil {
+		t.Fatalf("report %s via fresh router: %v", st.ID, err)
+	}
+	// An ID naming no backend is a 404, not a guess.
+	if _, err := c.Status(ctx, "c-job-000001"); !errors.Is(err, service.ErrNotFound) {
+		t.Fatalf("status of a job on an unknown node: %v, want not found", err)
+	}
+}
+
+// TestRouterNeedsDistinctNodeNames: a replica without a node name, or one
+// sharing its name with another, cannot own routable job IDs, so
+// /v1/router reports it not ready and submissions avoid it.
+func TestRouterNeedsDistinctNodeNames(t *testing.T) {
+	urls := replicas(t, "a", "", "d", "d")
+	c := front(t, urls, time.Hour)
+	status := routerStatus(t, c)
+	if len(status.Backends) != 4 {
+		t.Fatalf("router status = %+v, want 4 backends", status)
+	}
+	for i, want := range []bool{true, false, false, false} {
+		if b := status.Backends[i]; b.Ready != want {
+			t.Errorf("backend %d (node %q) ready = %v, want %v", i, b.Node, b.Ready, want)
+		}
+	}
+	st, err := c.Submit(context.Background(), spec(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if node := nodeOf(t, st.ID); node != "a" {
+		t.Fatalf("job %s placed on node %q, want the only ready replica a", st.ID, node)
+	}
+}
+
+// TestRouterKeepsNodeOfDownReplica: a refresh that fails marks the replica
+// not ready but keeps its last known node name, so requests for its jobs
+// still go to it (and fail there) instead of answering "no such job".
+func TestRouterKeepsNodeOfDownReplica(t *testing.T) {
+	srv, err := service.Open(service.Config{Workers: 1, NodeID: "a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	ts := httptest.NewServer(srv.Handler())
+	c := front(t, []string{ts.URL}, time.Millisecond)
+	if b := routerStatus(t, c).Backends[0]; !b.Ready || b.Node != "a" {
+		t.Fatalf("live replica view = %+v, want ready node a", b)
+	}
+	ts.Close()
+	time.Sleep(5 * time.Millisecond)
+	if b := routerStatus(t, c).Backends[0]; b.Ready || b.Node != "a" {
+		t.Fatalf("down replica view = %+v, want not ready, node still a", b)
+	}
+	if _, err := c.Status(context.Background(), "a-job-000001"); err == nil || errors.Is(err, service.ErrNotFound) {
+		t.Fatalf("status of a down replica's job: %v, want a proxy error, not not-found", err)
 	}
 }

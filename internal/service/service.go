@@ -100,7 +100,8 @@ type Config struct {
 	Store store.Store
 	// NodeID names this replica. It prefixes job IDs ("<node>-job-000001") so
 	// IDs stay unique across a fleet of replicas behind one router, and tags
-	// exported warm artifacts. Empty keeps the classic unprefixed IDs.
+	// exported warm artifacts. Empty keeps the classic unprefixed IDs, which
+	// a router cannot route: behind one, every replica needs its own NodeID.
 	NodeID string
 	// Peers lists sibling replicas' base URLs ("http://host:port") for the
 	// warm-cache exchange: a cold workload first tries the local artifact

@@ -11,6 +11,7 @@ import (
 
 	"heterog"
 	"heterog/internal/cli"
+	"heterog/internal/cluster"
 	"heterog/internal/telemetry"
 )
 
@@ -134,6 +135,87 @@ func TestTelemetryDriftReplanE2E(t *testing.T) {
 	tail, err := c.Events(ctx, src.ID, 2, 0)
 	if err != nil || len(tail) != 1 || tail[0].Seq != 3 {
 		t.Fatalf("events since 2 = %+v (err %v), want just seq 3", tail, err)
+	}
+}
+
+// TestDriftTraceReplansBeatStalePlan is the online-replanning gate: the
+// seed-7 synthetic drift trace for Testbed8, streamed over HTTP at a planned
+// vgg19@192 job, must produce at least one adopted replan that strictly beats
+// the stale plan on the drifted cluster, and at least one warm set shared by
+// two or more jobs with eval-cache hits (replans reattach to warm caches).
+// The coarse overlay quantum buckets drift regimes, so equal regimes share a
+// warm set and a recovered overlay maps back to the source workload's own.
+func TestDriftTraceReplansBeatStalePlan(t *testing.T) {
+	srv, c := newTestServer(t, Config{})
+	ctx := context.Background()
+	spec := cli.Spec{
+		Model: "vgg19", Batch: 192, GPUs: 8, Seed: 1, Episodes: 4,
+		Telemetry: &telemetry.Thresholds{Quantum: 0.5},
+	}
+	st, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if fin, err := c.Wait(ctx, st.ID, 30*time.Second); err != nil || fin.State != JobDone {
+		t.Fatalf("source job ended %+v (err %v), want done", fin, err)
+	}
+
+	// GPUs: 8 is Testbed8. Each fired push is resolved before the next one,
+	// so the trace replays identically.
+	gen := telemetry.NewGenerator(cluster.Testbed8(), telemetry.GenConfig{Seed: 7})
+	var seen uint64
+	episodes, adopted := 0, 0
+	for !gen.Done() {
+		ack, err := c.PushTelemetry(ctx, st.ID, gen.Step())
+		if err != nil {
+			t.Fatalf("push tick %d: %v", gen.Tick(), err)
+		}
+		if !ack.Fired {
+			continue
+		}
+		episodes++
+		outcome := waitEpisode(t, c, st.ID, &seen)
+		t.Logf("tick %d (%s): %s -> %s %.4f -> %.4f s/iter", gen.Tick(), gen.Regime(),
+			ack.Reason, outcome.Type, outcome.OldPerIterSec, outcome.NewPerIterSec)
+		if outcome.Type == EventReplanAdopted && outcome.NewPerIterSec < outcome.OldPerIterSec {
+			adopted++
+		}
+	}
+	if adopted == 0 {
+		t.Errorf("no adopted replan strictly beat the stale plan (%d episodes)", episodes)
+	}
+	shared := 0
+	for _, ws := range srv.Stats().WarmSets {
+		if ws.Jobs >= 2 && ws.Eval.Hits > 0 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Errorf("no warm set was shared across jobs; replans did not reattach to warm caches")
+	}
+	t.Logf("%d episodes, %d adopted and faster, %d shared warm sets", episodes, adopted, shared)
+}
+
+// waitEpisode tails the job's event log from *seen until a replan outcome
+// arrives and returns that event.
+func waitEpisode(t *testing.T, c *Client, id string, seen *uint64) PlanEvent {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		evs, err := c.Events(context.Background(), id, *seen, 10*time.Second)
+		if err != nil {
+			t.Fatalf("events: %v", err)
+		}
+		for _, ev := range evs {
+			*seen = ev.Seq
+			switch ev.Type {
+			case EventReplanAdopted, EventReplanKeptIncumbent, EventReplanFailed:
+				return ev
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("drift episode never resolved (last seq %d)", *seen)
+		}
 	}
 }
 
